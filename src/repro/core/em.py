@@ -8,17 +8,9 @@ iteration is: (E) per-row class log-likelihoods → γ, (M) weighted moments →
 new Θ, covariance composition ``Σ_C = Λ_C R Λ_C`` and adaptive regularization
 ``Σ_C += K`` (Algorithm 1 lines 8–14).
 
-Two equivalence-tested backends execute the passes:
-
-- :class:`NumpyBackend` — candidate-pair feature matrix collected once to the
-  driver; each pass is vectorized numpy. Default for the 200-iteration
-  benchmark sweeps (the post-blocking matrix is small).
-- :class:`SparkBackend` — the feature DataFrame stays distributed; each pass
-  is a ``mapInPandas`` partial aggregation (parameters shipped per iteration
-  via closure capture), partials reduced on the driver.
-
-Both backends share the same numpy kernels, so they agree bit-for-bit up to
-float summation order.
+:class:`NumpyBackend` executes the passes: the candidate-pair feature matrix
+(small after blocking) is collected once to the driver, and each pass is
+vectorized numpy.
 """
 from __future__ import annotations
 
@@ -68,14 +60,6 @@ class SuffStats:
     s2_u: np.ndarray
     ell: float
 
-    def __add__(self, o: "SuffStats") -> "SuffStats":
-        return SuffStats(
-            self.n + o.n, self.n_m + o.n_m,
-            self.s1_m + o.s1_m, self.s2_m + o.s2_m,
-            self.s1_u + o.s1_u, self.s2_u + o.s2_u,
-            self.ell + o.ell,
-        )
-
 
 @dataclass
 class ModelParams:
@@ -99,7 +83,7 @@ class ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# Shared numpy kernels
+# Numpy kernels
 # ---------------------------------------------------------------------------
 
 def class_logliks(X: np.ndarray, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -130,8 +114,11 @@ def stats_from_gamma(
     return SuffStats(float(len(gamma)), n_m, s1_m, s2_m, s1_u, s2_u, ell)
 
 
+_ID_LIMIT = 1 << 31  # ids in [0, 2^31) keep the (l_id, r_id) key encoding injective
+
+
 def _encode_ids(ids: np.ndarray) -> np.ndarray:
-    """(l_id, r_id) → single int64 key (ids are table row indices < 2^31)."""
+    """(l_id, r_id) → single int64 key; ids must lie in ``[0, 2^31)``."""
     return (ids[:, 0].astype(np.int64) << 32) | ids[:, 1].astype(np.int64)
 
 
@@ -145,9 +132,7 @@ def apply_overrides(
     """
     if not overrides:
         return gamma
-    okeys = np.fromiter(
-        ((k[0] << 32) | k[1] for k in overrides), dtype=np.int64, count=len(overrides)
-    )
+    okeys = _encode_ids(np.array(list(overrides), dtype=np.int64).reshape(-1, 2))
     ovals = np.fromiter(overrides.values(), dtype=np.float64, count=len(overrides))
     order = np.argsort(okeys)
     okeys, ovals = okeys[order], ovals[order]
@@ -195,7 +180,7 @@ def build_params(stats: SuffStats, R: np.ndarray, groups: np.ndarray, config: EM
 
 
 # ---------------------------------------------------------------------------
-# Backends
+# Backend
 # ---------------------------------------------------------------------------
 
 class NumpyBackend:
@@ -203,6 +188,8 @@ class NumpyBackend:
 
     def __init__(self, ids: np.ndarray, X: np.ndarray):
         self.ids = np.asarray(ids, dtype=np.int64).reshape(-1, 2)
+        if len(self.ids) and (self.ids.min() < 0 or self.ids.max() >= _ID_LIMIT):
+            raise ValueError("pair ids must lie in [0, 2**31) to encode as int64 keys")
         self.X = np.asarray(X, dtype=np.float64)
         self.n, self.d = self.X.shape
         self._cache_params: ModelParams | None = None
@@ -277,185 +264,7 @@ class NumpyBackend:
         return pd.DataFrame({"l_id": self.ids[:, 0], "r_id": self.ids[:, 1], "gamma": gamma})
 
 
-def _stats_row(s: SuffStats) -> pd.DataFrame:
-    """One partial-sums row (module-level so Spark closures never capture the
-    backend object, whose DataFrame handle is not picklable)."""
-    return pd.DataFrame(
-        {
-            "n": [s.n], "n_m": [s.n_m], "ell": [s.ell],
-            "s1_m": [s.s1_m.tolist()], "s2_m": [s.s2_m.tolist()],
-            "s1_u": [s.s1_u.tolist()], "s2_u": [s.s2_u.tolist()],
-        }
-    )
-
-
-class SparkBackend:
-    """Distributed backend: every pass is a ``mapInPandas`` partial-aggregation
-    job over the cached candidate-pair feature DataFrame."""
-
-    def __init__(self, feat_df: DataFrame, cols: list[str]):
-        self.df = feat_df.select("l_id", "r_id", *cols).cache()
-        self.cols = list(cols)
-        self.n = self.df.count()  # also materializes the cache
-        self.d = len(cols)
-
-    def unpersist(self) -> None:
-        self.df.unpersist()
-
-    def _partials(self, fn, schema: str) -> list[pd.DataFrame]:
-        cols = self.cols
-
-        def gen(batches):
-            for pdf in batches:
-                X = pdf[cols].to_numpy(dtype=np.float64)
-                ids = pdf[["l_id", "r_id"]].to_numpy(dtype=np.int64)
-                out = fn(ids, X)
-                if out is not None and len(out):
-                    yield out
-
-        return [self.df.mapInPandas(gen, schema=schema).toPandas()]
-
-    _STATS_SCHEMA = (
-        "n double, n_m double, ell double, s1_m array<double>, s2_m array<double>, "
-        "s1_u array<double>, s2_u array<double>"
-    )
-
-    def _reduce_stats(self, pdf: pd.DataFrame) -> SuffStats:
-        d = self.d
-        if pdf.empty:
-            z = np.zeros(d)
-            return SuffStats(0.0, 0.0, z, z.copy(), z.copy(), z.copy(), 0.0)
-        return SuffStats(
-            float(pdf["n"].sum()), float(pdf["n_m"].sum()),
-            np.sum([np.asarray(v) for v in pdf["s1_m"]], axis=0),
-            np.sum([np.asarray(v) for v in pdf["s2_m"]], axis=0),
-            np.sum([np.asarray(v) for v in pdf["s1_u"]], axis=0),
-            np.sum([np.asarray(v) for v in pdf["s2_u"]], axis=0),
-            float(pdf["ell"].sum()),
-        )
-
-    def global_moments(self, groups: np.ndarray):
-        slices = [idx.tolist() for idx in gmm.group_slices(groups)]
-        schema = "n double, s1 array<double>, s2 array<array<double>>"
-
-        def fn(ids, X):
-            s2 = [(X[:, idx].T @ X[:, idx]).ravel().tolist() for idx in slices]
-            return pd.DataFrame({"n": [float(len(X))], "s1": [X.sum(axis=0).tolist()], "s2": [s2]})
-
-        pdf = self._partials(fn, schema)[0]
-        n = float(pdf["n"].sum())
-        s1 = np.sum([np.asarray(v) for v in pdf["s1"]], axis=0)
-        s2_blocks = []
-        for gi, idx in enumerate(slices):
-            k = len(idx)
-            s2_blocks.append(
-                np.sum([np.asarray(row[gi]).reshape(k, k) for row in pdf["s2"]], axis=0)
-            )
-        return n, s1, s2_blocks
-
-    def init_stats(self, eps: float) -> SuffStats:
-        def fn(ids, X):
-            gamma = (X.mean(axis=1) > eps).astype(np.float64)
-            return _stats_row(stats_from_gamma(X, gamma))
-
-        return self._reduce_stats(self._partials(fn, self._STATS_SCHEMA)[0])
-
-    def suffstats(self, params: ModelParams, overrides: dict[GammaKey, float] | None = None) -> SuffStats:
-        def fn(ids, X):
-            logm, logu = class_logliks(X, params)
-            g = apply_overrides(ids, gammas(logm, logu), overrides)
-            return _stats_row(stats_from_gamma(X, g, logm, logu))
-
-        return self._reduce_stats(self._partials(fn, self._STATS_SCHEMA)[0])
-
-    def match_candidates(self, params: ModelParams, thresh: float = 0.5) -> pd.DataFrame:
-        schema = "l_id long, r_id long, gamma double, logm double, logu double"
-
-        def fn(ids, X):
-            logm, logu = class_logliks(X, params)
-            g = gammas(logm, logu)
-            keep = g >= thresh
-            return pd.DataFrame(
-                {
-                    "l_id": ids[keep, 0], "r_id": ids[keep, 1],
-                    "gamma": g[keep], "logm": logm[keep], "logu": logu[keep],
-                }
-            )
-
-        return self._partials(fn, schema)[0]
-
-    def lookup(self, params: ModelParams, keys: set[GammaKey]) -> dict[GammaKey, tuple[float, float, float]]:
-        if not keys:
-            return {}
-        schema = "l_id long, r_id long, gamma double, logm double, logu double"
-        keyset = set(keys)
-
-        def fn(ids, X):
-            mask = np.fromiter(
-                ((int(a), int(b)) in keyset for a, b in ids), dtype=bool, count=len(ids)
-            )
-            if not mask.any():
-                return None
-            logm, logu = class_logliks(X[mask], params)
-            g = gammas(logm, logu)
-            return pd.DataFrame(
-                {
-                    "l_id": ids[mask, 0], "r_id": ids[mask, 1],
-                    "gamma": g, "logm": logm, "logu": logu,
-                }
-            )
-
-        pdf = self._partials(fn, schema)[0]
-        return {
-            (int(r.l_id), int(r.r_id)): (float(r.gamma), float(r.logm), float(r.logu))
-            for r in pdf.itertuples()
-        }
-
-    def posteriors_df(self, params: ModelParams, overrides: dict[GammaKey, float] | None = None) -> DataFrame:
-        """Final posterior per pair as a Spark DataFrame."""
-        schema = "l_id long, r_id long, gamma double"
-
-        def fn(ids, X):
-            logm, logu = class_logliks(X, params)
-            g = apply_overrides(ids, gammas(logm, logu), overrides)
-            return pd.DataFrame({"l_id": ids[:, 0], "r_id": ids[:, 1], "gamma": g})
-
-        cols = self.cols
-
-        def gen(batches):
-            for pdf in batches:
-                X = pdf[cols].to_numpy(dtype=np.float64)
-                ids = pdf[["l_id", "r_id"]].to_numpy(dtype=np.int64)
-                yield fn(ids, X)
-
-        return self.df.mapInPandas(gen, schema=schema)
-
-
 def shared_correlation(backend, groups: np.ndarray) -> np.ndarray:
     """The preprocessing step of §3.1: estimate R once from all data."""
     n, s1, s2_blocks = backend.global_moments(groups)
     return gmm.block_correlation(s1, s2_blocks, n, groups)
-
-
-def fit_em(
-    backend, groups: np.ndarray, config: EMConfig
-) -> tuple[ModelParams, list[float]]:
-    """Algorithm 1 without transitivity: one model, plain EM to convergence.
-
-    Returns the final parameters and the expected-log-likelihood history.
-    """
-    R = shared_correlation(backend, groups)
-    stats = backend.init_stats(config.eps_init)
-    history: list[float] = []
-    params = build_params(stats, R, groups, config)
-    for _ in range(config.max_iter):
-        stats = backend.suffstats(params)
-        history.append(stats.ell)
-        new_params = build_params(stats, R, groups, config)
-        if len(history) >= 2 and abs(history[-1] - history[-2]) < config.tol * (
-            1.0 + abs(history[-2])
-        ):
-            params = new_params
-            break
-        params = new_params
-    return params, history

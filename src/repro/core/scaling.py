@@ -1,8 +1,9 @@
-"""Mean imputation + min-max scaling of feature columns, as Catalyst exprs.
+"""Min imputation + min-max scaling of feature columns, as Catalyst exprs.
 
 ZeroER min-max normalizes every feature into [0, 1] before EM (§3.3); missing
 similarity values (a side had a NULL attribute) are imputed with the feature's
-mean over the candidate set first, mirroring the reference implementation.
+minimum over the candidate set first (see :meth:`Scaler.transform` for why
+not the mean).
 """
 from __future__ import annotations
 
@@ -14,10 +15,9 @@ from pyspark.sql import functions as F
 
 @dataclass(frozen=True)
 class Scaler:
-    """Fitted per-feature statistics: mean (for imputation), min, max."""
+    """Fitted per-feature statistics: min (also the imputed value) and max."""
 
     cols: list[str]
-    mean: dict[str, float]
     min: dict[str, float]
     max: dict[str, float]
 
@@ -45,23 +45,18 @@ class Scaler:
 
 
 def fit_scaler(df: DataFrame, cols: list[str]) -> Scaler:
-    """One aggregation pass computing NaN-aware mean/min/max per feature."""
+    """One aggregation pass computing NaN-aware min/max per feature."""
     aggs = []
     for c in cols:
         clean = F.when(F.isnan(F.col(c)), None).otherwise(F.col(c))
-        aggs += [
-            F.avg(clean).alias(f"avg_{c}"),
-            F.min(clean).alias(f"min_{c}"),
-            F.max(clean).alias(f"max_{c}"),
-        ]
+        aggs += [F.min(clean).alias(f"min_{c}"), F.max(clean).alias(f"max_{c}")]
     row = df.agg(*aggs).first()
-    mean, lo, hi = {}, {}, {}
+    lo, hi = {}, {}
     for c in cols:
         # An all-missing feature has no statistics; pin it to constant 0.
-        mean[c] = float(row[f"avg_{c}"]) if row[f"avg_{c}"] is not None else 0.0
         lo[c] = float(row[f"min_{c}"]) if row[f"min_{c}"] is not None else 0.0
         hi[c] = float(row[f"max_{c}"]) if row[f"max_{c}"] is not None else 0.0
-    return Scaler(cols=list(cols), mean=mean, min=lo, max=hi)
+    return Scaler(cols=list(cols), min=lo, max=hi)
 
 
 def scale_features(df: DataFrame, cols: list[str]) -> DataFrame:

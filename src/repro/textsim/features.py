@@ -8,7 +8,7 @@ ZeroER's block-diagonal covariance consumes (§3.1 of the paper).
 ``compute_features`` evaluates the plan distributed with ``mapInPandas``:
 each Arrow batch tokenizes every distinct string once per attribute, then
 evaluates the group's kernels row-wise. Missing values on either side yield
-NaN (mean-imputed later by :mod:`repro.core.scaling`).
+NaN (imputed at the feature minimum later by :mod:`repro.core.scaling`).
 """
 from __future__ import annotations
 

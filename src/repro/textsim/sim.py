@@ -4,7 +4,8 @@ Conventions (match Magellan's behaviour closely enough for ZeroER):
 - set similarities of two empty sets are 1.0 (identical), one empty is 0.0;
 - string kernels operate on already-normalized strings;
 - missing values are handled one level up (a missing side yields NaN for the
-  whole feature, later mean-imputed) — kernels never see ``None``.
+  whole feature, later imputed at the feature minimum) — kernels never see
+  ``None``.
 """
 from __future__ import annotations
 

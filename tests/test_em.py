@@ -1,23 +1,21 @@
-"""Tests for the EM engine: parameter estimation, both backends, recovery."""
+"""Tests for the EM engine: parameter estimation, the numpy backend, recovery."""
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import em as em_mod
 from repro.core.em import (
     EMConfig,
     NumpyBackend,
-    SparkBackend,
     apply_overrides,
     build_params,
     class_logliks,
-    fit_em,
     gammas,
     shared_correlation,
     stats_from_gamma,
 )
+from repro.core.zeroer import _joint_em
 from repro.oracle import assert_equivalent
 
 
@@ -117,12 +115,21 @@ def test_apply_overrides_vectorized_matches_naive():
 def test_numpy_backend_em_recovers_mixture():
     ids, X, y = synthetic_mixture()
     be = NumpyBackend(ids, X)
-    params, hist = fit_em(be, GROUPS2, EMConfig())
+    params, _, hist, _ = _joint_em({"c": be}, GROUPS2, EMConfig(), False)
+    params = params["c"]
     gamma = be.posterior_vector(params)
     pred = gamma > 0.5
     assert (pred == (y == 1)).mean() > 0.995
     assert params.pi_m == pytest.approx(0.05, abs=0.01)
     assert len(hist) < 200  # converged
+
+
+@pytest.mark.parametrize("bad", [[0, 1 << 32], [0, -1], [1 << 31, 0], [-1, 0]])
+def test_numpy_backend_rejects_ids_outside_key_range(bad):
+    # Out of range, ids alias keys: (0, 2^32) encodes like (1, 0), and
+    # (0, -1) like (-1, -1).
+    with pytest.raises(ValueError):
+        NumpyBackend(np.array([[0, 0], bad]), np.zeros((2, 4)))
 
 
 def test_numpy_backend_init_stats_eps():
@@ -136,7 +143,7 @@ def test_numpy_backend_init_stats_eps():
 def test_numpy_backend_match_candidates_and_lookup():
     ids, X, y = synthetic_mixture(n=500)
     be = NumpyBackend(ids, X)
-    params, _ = fit_em(be, GROUPS2, EMConfig())
+    params = _joint_em({"c": be}, GROUPS2, EMConfig(), False)[0]["c"]
     mc = be.match_candidates(params)
     assert set(mc.columns) == {"l_id", "r_id", "gamma", "logm", "logu"}
     assert (mc.gamma >= 0.5).all()
@@ -158,7 +165,7 @@ def test_shared_correlation_identity_for_independent_groups():
     assert np.abs(off).max() < 0.1
 
 
-# --------------------------------------------------------- Spark backend
+# --------------------------------------------------------- DuckDB oracle
 
 @pytest.fixture(scope="module")
 def spark_feat(spark):
@@ -169,59 +176,11 @@ def spark_feat(spark):
     return spark.createDataFrame(pdf), [f"f{i}" for i in range(4)], ids, X
 
 
-def test_spark_backend_equals_numpy_backend(spark, spark_feat):
-    """The distributed backend must reproduce the numpy backend exactly
-    (same init stats, same correlation, same per-iteration parameters)."""
-    df, cols, ids, X = spark_feat
-    nb = NumpyBackend(ids, X)
-    sb = SparkBackend(df, cols)
-    config = EMConfig(max_iter=3)
-    assert sb.n == nb.n and sb.d == nb.d
-
-    s_np = nb.init_stats(0.5)
-    s_sp = sb.init_stats(0.5)
-    assert s_sp.n_m == pytest.approx(s_np.n_m)
-    np.testing.assert_allclose(s_sp.s1_m, s_np.s1_m, rtol=1e-9)
-    np.testing.assert_allclose(s_sp.s2_u, s_np.s2_u, rtol=1e-9)
-
-    R_np = shared_correlation(nb, GROUPS2)
-    R_sp = shared_correlation(sb, GROUPS2)
-    np.testing.assert_allclose(R_sp, R_np, atol=1e-9)
-
-    p_np, _ = fit_em(nb, GROUPS2, config)
-    p_sp, _ = fit_em(sb, GROUPS2, config)
-    np.testing.assert_allclose(p_sp.mu_m, p_np.mu_m, atol=1e-8)
-    np.testing.assert_allclose(p_sp.Sigma_u, p_np.Sigma_u, atol=1e-8)
-    assert p_sp.pi_m == pytest.approx(p_np.pi_m, rel=1e-6)
-
-    post_np = nb.posterior_vector(p_np)
-    post_sp = sb.posteriors_df(p_sp).toPandas().sort_values("l_id")["gamma"].to_numpy()
-    np.testing.assert_allclose(post_sp, post_np, atol=1e-8)
-    sb.unpersist()
-
-
-def test_spark_backend_match_candidates_and_lookup(spark, spark_feat):
-    df, cols, ids, X = spark_feat
-    nb = NumpyBackend(ids, X)
-    sb = SparkBackend(df, cols)
-    params, _ = fit_em(nb, GROUPS2, EMConfig(max_iter=3))
-    mc_np = nb.match_candidates(params).sort_values(["l_id", "r_id"]).reset_index(drop=True)
-    mc_sp = sb.match_candidates(params).sort_values(["l_id", "r_id"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(mc_np, mc_sp, check_exact=False, atol=1e-8)
-    keys = {(int(r.l_id), int(r.r_id)) for r in mc_np.head(4).itertuples()}
-    lk_np = nb.lookup(params, keys)
-    lk_sp = sb.lookup(params, keys)
-    assert set(lk_np) == set(lk_sp)
-    for k in keys:
-        np.testing.assert_allclose(lk_sp[k], lk_np[k], atol=1e-8)
-    sb.unpersist()
-
-
 def test_suffstats_oracle_weighted_sums(spark, spark_feat):
     """The M-step's weighted moments equal the SQL aggregation DuckDB runs."""
     df, cols, ids, X = spark_feat
     nb = NumpyBackend(ids, X)
-    params, _ = fit_em(nb, GROUPS2, EMConfig(max_iter=2))
+    params = _joint_em({"c": nb}, GROUPS2, EMConfig(max_iter=2), False)[0]["c"]
     logm, logu = class_logliks(X, params)
     g = gammas(logm, logu)
     gdf = pd.DataFrame(

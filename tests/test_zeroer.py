@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.em import EMConfig
 from repro.core.variants import VARIANTS
-from repro.core.zeroer import _postprocess_one_to_one, featurize, run_zeroer
+from repro.core.zeroer import FeaturizedTask, _postprocess_one_to_one, featurize, run_zeroer
 from repro.eval import evaluate
 
 
@@ -65,14 +65,30 @@ def test_zeroer_constraint_requires_intra(spark, task_ds):
         run_zeroer(task_ds.cross.sparkSession, task_ds, transitivity="constraint")
 
 
-def test_zeroer_spark_backend_agrees_with_numpy(spark, fz, task_fz):
-    """Both EM backends must produce the same prediction set end-to-end."""
-    cfg = EMConfig(max_iter=8)
-    a = run_zeroer(spark, task_fz, config=cfg, transitivity="none", backend="numpy")
-    b = run_zeroer(spark, task_fz, config=cfg, transitivity="none", backend="spark")
-    pa = set(map(tuple, a.predictions.toPandas().to_numpy()))
-    pb = set(map(tuple, b.predictions.toPandas().to_numpy()))
-    assert pa == pb
+@pytest.mark.parametrize("transitivity", ["constraint", "none", "post"])
+def test_zeroer_empty_cross_predicts_nothing(spark, task_fz, transitivity):
+    """No cross candidates (e.g. a high ``min_overlap``): no EM, no predictions."""
+    task = FeaturizedTask(
+        ds=task_fz.ds, cols=task_fz.cols, groups=task_fz.groups,
+        cross=task_fz.cross.limit(0), left=task_fz.left, right=task_fz.right,
+    )
+    res = run_zeroer(spark, task, transitivity=transitivity)
+    assert res.predictions.count() == 0
+    assert res.posteriors.empty and {"l_id", "r_id", "gamma"} <= set(res.posteriors.columns)
+    assert res.n_candidates == 0 and res.n_iterations == 0 and res.history == []
+
+
+def test_zeroer_empty_intra_model_is_dropped(spark, fz, task_fz):
+    """An empty left model is dropped; its closing pairs stay pinned at γ=0,
+    which on duplicate-free FZ is the right assumption."""
+    task = FeaturizedTask(
+        ds=task_fz.ds, cols=task_fz.cols, groups=task_fz.groups,
+        cross=task_fz.cross, left=task_fz.left.limit(0), right=task_fz.right,
+    )
+    res = run_zeroer(spark, task, transitivity="constraint")
+    assert res.n_candidates == task_fz.cross.count()
+    assert res.n_iterations == len(res.history) > 0
+    assert evaluate(res.predictions, fz.matches).f1 >= 0.9
 
 
 def test_postprocess_one_to_one_keeps_best():
